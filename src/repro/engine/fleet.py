@@ -842,17 +842,17 @@ class _StepwiseFleet(FleetWalkBase):
             return None
         from repro.engine import native
 
-        fn = native.load()
-        if fn is None and self._native_pref is True:
+        kernel = native.load()
+        if kernel is None and self._native_pref is True:
             raise ReproError(
                 f"native=True but the fused kernel is unavailable: "
                 f"{native.unavailable_reason()}"
             )
-        if fn is None and self._native_pref is None:
+        if kernel is None and self._native_pref is None:
             tel = get_telemetry()
             if tel.enabled:
                 tel.count("fleet.native_unavailable")
-        return fn
+        return None if kernel is None else kernel.block
 
     def _native_call(self, T: int, step0: int, t0: int):
         """One fused-kernel call: up to ``T`` lockstep steps.

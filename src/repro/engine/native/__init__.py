@@ -1,9 +1,18 @@
-"""Loader for the fused lockstep kernel (optional C extension).
+"""Loader for the native kernels (optional C extension).
 
-The stepwise fleet kernels (irregular SRW, E-process, V-process) pay a
-fixed number of numpy dispatches *per lockstep step*; the C extension in
-``_fused.c`` collapses a whole block of steps into one call.  This module
-owns finding and validating that extension:
+The C extension in ``_fused.c`` exports two kernels, bound together as a
+:class:`NativeKernel`:
+
+* ``block`` — the fused lockstep block.  The stepwise fleet kernels
+  (irregular SRW, E-process, V-process) pay a fixed number of numpy
+  dispatches *per lockstep step*; this collapses a whole block of steps
+  into one call.
+* ``steger_wormald`` — one Steger–Wormald attempt of
+  :func:`repro.graphs.random_regular.random_regular_graph`, the random
+  regular graph sampler the E-process experiments draw a fresh graph
+  from for every trial.
+
+This module owns finding and validating that extension:
 
 * built at install time by the optional setuptools ``Extension`` in
   ``setup.py`` (the build is best-effort: no compiler, no extension, no
@@ -16,13 +25,15 @@ owns finding and validating that extension:
 * opt-out via ``REPRO_NATIVE=0`` (accepted falsey spellings: ``0``,
   ``false``, ``off``, ``no``), checked per probe so tests can flip it;
 * **mandatory fallback**: every caller treats :func:`load` returning
-  ``None`` as "use the numpy path".  The first silent fallback (extension
+  ``None`` as "use the numpy path" (the fleets) or "use the python
+  loop" (the graph sampler).  The first silent fallback (extension
   requested by default but not present) emits one :class:`RuntimeWarning`
   per process; an explicit ``REPRO_NATIVE=0`` stays silent.
 
-The numbers are identical either way — the kernel is bit-identical to the
-numpy stepwise path (same words drawn, same candidates, same cover
-instants); only throughput changes.
+The numbers are identical either way — the block kernel is bit-identical
+to the numpy stepwise path (same words drawn, same candidates, same cover
+instants) and the sampler to the python loop (same words drawn, same
+edges, same generator end state); only throughput changes.
 """
 
 from __future__ import annotations
@@ -32,10 +43,11 @@ import importlib.util
 import os
 import threading
 import warnings
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = [
     "ABI_VERSION",
+    "NativeKernel",
     "available",
     "disabled",
     "kernel_path",
@@ -45,13 +57,13 @@ __all__ = [
 
 #: Must match ``REPRO_FUSED_ABI`` in ``_fused.c``; bumped together whenever
 #: the parameter layout or semantics change.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _FALSEY = {"0", "false", "off", "no"}
 
 _lock = threading.Lock()
 _probed = False
-_fn = None
+_kernel = None
 _path: Optional[str] = None
 _reason = ""
 _warned = False
@@ -80,8 +92,18 @@ def _find_extension() -> Optional[str]:
     return spec.origin
 
 
-def _probe():
-    """One-time (per env change) load attempt; returns the block function."""
+class NativeKernel(NamedTuple):
+    """The extension's entry points, bound through ctypes."""
+
+    #: ``repro_fused_block(par, arr)`` — one fused lockstep block.
+    block: Any
+    #: ``repro_sw_attempt(n, r, words, count, eu, ev, out)`` — one
+    #: Steger–Wormald attempt over a buffer of MT words.
+    steger_wormald: Any
+
+
+def _probe() -> Optional[NativeKernel]:
+    """One-time (per env change) load attempt."""
     global _reason, _path
     _path = None
     if disabled():
@@ -107,33 +129,41 @@ def _probe():
                 f"needs {ABI_VERSION}; rebuild it"
             )
             return None
-        fn = lib.repro_fused_block
-        fn.restype = ctypes.c_longlong
-        fn.argtypes = [ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p)]
+        block = lib.repro_fused_block
+        block.restype = ctypes.c_longlong
+        block.argtypes = [ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p)]
+        sampler = lib.repro_sw_attempt
+        sampler.restype = ctypes.c_longlong
+        sampler.argtypes = [
+            ctypes.c_longlong, ctypes.c_longlong,  # n, r
+            ctypes.c_void_p, ctypes.c_longlong,    # words, count
+            ctypes.c_void_p, ctypes.c_void_p,      # eu, ev
+            ctypes.c_void_p,                       # out
+        ]
     except (OSError, AttributeError) as exc:
         _reason = f"extension at {origin} failed to load: {exc}"
         return None
     _path = origin
     _reason = ""
-    return fn
+    return NativeKernel(block, sampler)
 
 
-def load():
-    """The fused block function (ctypes), or None with a fallback reason.
+def load() -> Optional[NativeKernel]:
+    """The extension's kernels, or None with a fallback reason.
 
     The probe result is cached; flipping ``REPRO_NATIVE`` re-probes so a
     test (or an operator mid-session) can turn the kernel off and on.
     The first *silent* fallback — kernel wanted by default but missing —
     warns once per process so benchmark numbers are never quietly numpy.
     """
-    global _probed, _fn, _warned
+    global _probed, _kernel, _warned
     with _lock:
         key = disabled()
         if not _probed or key != _probe.__dict__.get("last_disabled"):
-            _fn = _probe()
+            _kernel = _probe()
             _probe.__dict__["last_disabled"] = key
             _probed = True
-            if _fn is None and not key and not _warned:
+            if _kernel is None and not key and not _warned:
                 _warned = True
                 from repro.telemetry import get_telemetry
 
@@ -142,17 +172,18 @@ def load():
                     tel.count("native.silent_fallbacks")
                 warnings.warn(
                     f"repro: native fused kernel unavailable ({_reason}); "
-                    "fleet engines fall back to the numpy stepwise path "
+                    "fleet engines fall back to the numpy stepwise path and "
+                    "the random regular graph sampler to its python loop "
                     "(identical results, lower throughput). Set "
                     "REPRO_NATIVE=0 to silence this warning.",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        return _fn
+        return _kernel
 
 
 def available() -> bool:
-    """Whether the native kernel is loadable right now."""
+    """Whether the native kernels are loadable right now."""
     return load() is not None
 
 
@@ -170,9 +201,9 @@ def kernel_path() -> Optional[str]:
 
 def _reset_probe_for_testing() -> None:
     """Drop the cached probe (tests flip REPRO_NATIVE / monkeypatch)."""
-    global _probed, _fn, _warned
+    global _probed, _kernel, _warned
     with _lock:
         _probed = False
-        _fn = None
+        _kernel = None
         _warned = False
         _probe.__dict__.pop("last_disabled", None)

@@ -1,4 +1,6 @@
-/* Fused lockstep block kernel for the stepwise fleet engines.
+/* Native kernels: the fused lockstep block for the stepwise fleet
+ * engines, and one Steger-Wormald attempt for the random regular graphs
+ * the E-process runs on.
  *
  * One call advances every active lane of a `_StepwiseFleet` (the
  * irregular-graph SRW fleet, the E-process fleet, or the V-process
@@ -20,6 +22,11 @@
  * that lane's row and re-enters.  Steps consume at least one word per
  * lane, so the re-entry cadence is bounded by the row width.
  *
+ * The Steger-Wormald attempt (`repro_sw_attempt`, at the end of this
+ * file) follows the same rules: it replays `_steger_wormald_attempt` in
+ * graphs/random_regular.py draw for draw over a buffer of words python
+ * hands it, and reports how many it consumed.
+ *
  * Loaded via ctypes (no Python API on purpose: the .so stays loadable
  * whether or not it matches the running interpreter's ABI); built by the
  * optional setuptools Extension in setup.py.
@@ -34,9 +41,10 @@
 #define REPRO_EXPORT __attribute__((visibility("default")))
 #endif
 
-/* Bumped whenever the par[] layout, slot table, or semantics change; the
- * python loader refuses a stale .so instead of mis-reading it. */
-#define REPRO_FUSED_ABI 1
+/* Bumped whenever an exported symbol, the par[] layout, the slot table,
+ * or semantics change; the python loader refuses a stale .so instead of
+ * mis-reading it. */
+#define REPRO_FUSED_ABI 2
 
 /* par[] indices (all int64). */
 enum {
@@ -370,4 +378,214 @@ REPRO_EXPORT int64_t repro_fused_block(const int64_t *par, void **arr)
     free(save_p);
     free(isb_s);
     return ST_DONE;
+}
+
+/* ---- Steger-Wormald attempt ----------------------------------------- */
+
+/* Return status of repro_sw_attempt. */
+enum {
+    SW_GRAPH = 0,   /* all n*r/2 edges placed in eu/ev */
+    SW_DEAD = 1,    /* dead end: only forbidden pairs remain; restart */
+    SW_DRY = 2,     /* the word buffer ran out; rerun with more words */
+    SW_WIDE = 3,    /* a fallback draw needs > 32 bits; use the python loop */
+    SW_BADARG = -1,
+    SW_NOMEM = -2
+};
+
+/* Inner-loop tries before the exhaustive fallback (the python loop's 200). */
+#define SW_TRIES 200
+
+typedef struct {
+    const uint64_t *words; /* tempered 32-bit MT outputs, one per entry */
+    int64_t count;
+    int64_t pos;           /* words consumed so far */
+} sw_stream;
+
+/* CPython's randrange(q) == _randbelow(q) for 1 <= q < 2^32: redraw
+ * getrandbits(k) == word >> (32 - k), k = bitlen(q), until it is < q.
+ * Returns 0 when the buffer runs dry. */
+static int sw_randbelow(sw_stream *ws, int64_t q, int64_t *out)
+{
+    const int shift = 32 - bitlen64(q);
+    while (ws->pos < ws->count) {
+        const int64_t v = (int64_t)(ws->words[ws->pos++] >> shift);
+        if (v < q) {
+            *out = v;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+static int cmp_i32(const void *a, const void *b)
+{
+    const int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+typedef struct {
+    int64_t r;
+    int64_t len;     /* stubs left in the pool */
+    int32_t *pool;   /* [n*r] vertex id per free stub */
+    int32_t *pos;    /* [n*r] row v*r: v's pool indices, plen[v] live */
+    int32_t *plen;   /* [n] */
+    int32_t *adj;    /* [n*r] row v*r: v's neighbours, alen[v] live */
+    int32_t *alen;   /* [n] */
+} sw_state;
+
+static int sw_adjacent(const sw_state *s, int32_t u, int32_t v)
+{
+    const int32_t *row = s->adj + (size_t)u * (size_t)s->r;
+    int32_t j;
+    for (j = 0; j < s->alen[u]; j++)
+        if (row[j] == v)
+            return 1;
+    return 0;
+}
+
+/* Swap-deletion of `vertex`'s last recorded stub, exactly as the python
+ * remove_stub: the pool's last stub moves into the hole and its entry in
+ * its owner's position row is rewritten in place. */
+static void sw_remove_stub(sw_state *s, int32_t vertex)
+{
+    const int32_t idx = s->pos[(size_t)vertex * (size_t)s->r + (size_t)--s->plen[vertex]];
+    const int32_t last = (int32_t)(s->len - 1);
+    const int32_t lv = s->pool[last];
+    if (idx != last) {
+        int32_t *row = s->pos + (size_t)lv * (size_t)s->r;
+        int32_t j;
+        s->pool[idx] = lv;
+        for (j = 0; j < s->plen[lv]; j++)
+            if (row[j] == last) {
+                row[j] = idx;
+                break;
+            }
+    }
+    s->len--;
+}
+
+static void sw_place(sw_state *s, int32_t u, int32_t v)
+{
+    s->adj[(size_t)u * (size_t)s->r + (size_t)s->alen[u]++] = v;
+    s->adj[(size_t)v * (size_t)s->r + (size_t)s->alen[v]++] = u;
+    sw_remove_stub(s, u);
+    sw_remove_stub(s, v);
+}
+
+/* One attempt of `_steger_wormald_attempt(n, r, rng)` over `count`
+ * buffered words.  On SW_GRAPH the edges are (eu[i], ev[i]) in placement
+ * order; out[0] is the number of words consumed on SW_GRAPH and SW_DEAD
+ * (python advances the generator by exactly that many).  Needs
+ * 0 < r < n, n*r even and n*r < 2^31, so every pool draw fits one word. */
+REPRO_EXPORT int64_t repro_sw_attempt(int64_t n, int64_t r, const uint64_t *words,
+                                      int64_t count, int64_t *eu, int64_t *ev,
+                                      int64_t *out)
+{
+    sw_stream ws = {words, count, 0};
+    sw_state s;
+    int32_t *rem = NULL;
+    unsigned char *seen = NULL;
+    int64_t total, i, e = 0, status = SW_GRAPH;
+
+    out[0] = 0;
+    if (n <= 0 || r <= 0 || r >= n || n > (((int64_t)1 << 31) - 1) / r)
+        return SW_BADARG;
+    total = n * r;
+    if (total % 2)
+        return SW_BADARG;
+
+    s.r = r;
+    s.len = total;
+    s.pool = (int32_t *)malloc((size_t)total * sizeof(int32_t));
+    s.pos = (int32_t *)malloc((size_t)total * sizeof(int32_t));
+    s.adj = (int32_t *)malloc((size_t)total * sizeof(int32_t));
+    s.plen = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+    s.alen = (int32_t *)calloc((size_t)n, sizeof(int32_t));
+    rem = (int32_t *)malloc((size_t)n * sizeof(int32_t));
+    seen = (unsigned char *)calloc((size_t)n, 1);
+    if (!s.pool || !s.pos || !s.adj || !s.plen || !s.alen || !rem || !seen) {
+        status = SW_NOMEM;
+        goto done;
+    }
+    for (i = 0; i < total; i++) {
+        s.pool[i] = (int32_t)(i / r);
+        s.pos[i] = (int32_t)i;
+    }
+    for (i = 0; i < n; i++)
+        s.plen[i] = (int32_t)r;
+
+    while (s.len > 0) {
+        int placed = 0, t;
+        for (t = 0; t < SW_TRIES; t++) {
+            int64_t a, b;
+            int32_t u, v;
+            if (!sw_randbelow(&ws, s.len, &a))
+                goto dry;
+            u = s.pool[a];
+            if (!sw_randbelow(&ws, s.len, &b))
+                goto dry;
+            v = s.pool[b];
+            if (u == v || sw_adjacent(&s, u, v))
+                continue;
+            eu[e] = u;
+            ev[e++] = v;
+            sw_place(&s, u, v);
+            placed = 1;
+            break;
+        }
+        if (placed)
+            continue;
+
+        /* Exhaustive fallback: the pairs (x < y) of distinct free
+         * vertices, in sorted order, that are not yet adjacent. */
+        {
+            int64_t nrem = 0, suitable = 0, k, j;
+            int32_t x = 0, y = 0;
+            for (i = 0; i < s.len; i++)
+                if (!seen[s.pool[i]]) {
+                    seen[s.pool[i]] = 1;
+                    rem[nrem++] = s.pool[i];
+                }
+            for (i = 0; i < nrem; i++)
+                seen[rem[i]] = 0;
+            qsort(rem, (size_t)nrem, sizeof(int32_t), cmp_i32);
+            for (i = 0; i < nrem; i++)
+                for (j = i + 1; j < nrem; j++)
+                    suitable += !sw_adjacent(&s, rem[i], rem[j]);
+            if (!suitable) {
+                status = SW_DEAD;
+                goto done;
+            }
+            if (suitable >= ((int64_t)1 << 32)) {
+                status = SW_WIDE;
+                goto done;
+            }
+            if (!sw_randbelow(&ws, suitable, &k))
+                goto dry;
+            for (i = 0; i < nrem && k >= 0; i++)
+                for (j = i + 1; j < nrem; j++)
+                    if (!sw_adjacent(&s, rem[i], rem[j]) && k-- == 0) {
+                        x = rem[i];
+                        y = rem[j];
+                        break;
+                    }
+            eu[e] = x;
+            ev[e++] = y;
+            sw_place(&s, x, y);
+        }
+    }
+    goto done;
+
+dry:
+    status = SW_DRY;
+done:
+    out[0] = ws.pos;
+    free(s.pool);
+    free(s.pos);
+    free(s.adj);
+    free(s.plen);
+    free(s.alen);
+    free(rem);
+    free(seen);
+    return status;
 }

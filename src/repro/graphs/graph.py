@@ -29,6 +29,7 @@ Conventions
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -286,15 +287,16 @@ class Graph:
             offsets = np.zeros(self._n + 1, dtype=np.int64)
             if self._n:
                 np.cumsum(self._degrees, out=offsets[1:])
-            total = 2 * len(self._edges)
-            edge_ids = np.empty(total, dtype=np.int64)
-            neighbors = np.empty(total, dtype=np.int64)
-            pos = 0
-            for entries in self._incidence:
-                for eid, w in entries:
-                    edge_ids[pos] = eid
-                    neighbors[pos] = w
-                    pos += 1
+            # Endpoint 2e is edge e's u, 2e+1 its v.  A stable sort by
+            # vertex lists each vertex's endpoints by edge id, u-end before
+            # v-end — the incidence order, loops twice in a row included —
+            # and the partner endpoint (index ^ 1) is the neighbour.
+            ends = np.fromiter(
+                chain.from_iterable(self._edges), dtype=np.int64, count=2 * len(self._edges)
+            )
+            order = np.argsort(ends, kind="stable")
+            edge_ids = order // 2
+            neighbors = ends[order ^ 1]
             for arr in (offsets, edge_ids, neighbors):
                 arr.setflags(write=False)
             self._csr = (offsets, edge_ids, neighbors)

@@ -12,6 +12,21 @@ Two samplers are provided:
 
 Both use Python's Mersenne Twister (`random.Random`), matching the paper's
 experimental setup (Section 5).
+
+The Steger–Wormald attempt has two implementations with one output.
+:func:`_steger_wormald_attempt` is the python reference.  When the native
+extension loads (:func:`repro.engine.native.load`), each attempt runs in
+its C twin ``repro_sw_attempt`` instead, which is **bit-identical**: it
+replays the same ``randrange`` draws (CPython's ``_randbelow`` rejection
+over the generator's raw words, fed through
+:class:`~repro.engine.base.MTWordStream`), the same swap-deletion stub
+pool, the same 200-try inner loop and the same sorted exhaustive fallback,
+so it returns the same edge list (or the same dead end) and leaves the
+generator in the same state.  The python loop remains the only path when
+the extension is missing or disabled (``REPRO_NATIVE=0``), for generators
+that override ``random()`` (their ``_randbelow`` differs), and from
+``n*r >= 2**31`` stubs, past the kernel's int32 stub indices and
+one-word draws.
 """
 
 from __future__ import annotations
@@ -19,9 +34,10 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import GenerationError
+from repro.errors import GenerationError, ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_connected
+from repro.telemetry import get_telemetry
 
 __all__ = [
     "configuration_model",
@@ -134,9 +150,15 @@ def random_regular_graph(
     if r == 0:
         return Graph(n, [], name=label)
 
+    kernel = _native_kernel(n, r, rng)
+    native = None if kernel is None else _NativeAttempts(kernel, n, r, rng)
     for _restart in range(max_restarts):
-        edges = _steger_wormald_attempt(n, r, rng)
+        edges = _steger_wormald_attempt(n, r, rng) if native is None else native.attempt()
         if edges is not None:
+            if native is not None:
+                tel = get_telemetry()
+                if tel.enabled:
+                    tel.count("graphs.native_samples")
             return Graph(n, edges, name=label)
     raise GenerationError(
         f"Steger-Wormald failed after {max_restarts} restarts (n={n}, r={r})"
@@ -210,6 +232,95 @@ def _steger_wormald_attempt(
         u, v = suitable[rng.randrange(len(suitable))]
         place(u, v)
     return edges
+
+
+#: Stub counts (``n*r``) from which only the python loop runs: the
+#: kernel keeps stub indices in int32 and models ``getrandbits(k)`` only
+#: for ``k <= 32``, where it is one word's top ``k`` bits.
+_NATIVE_MAX_STUBS = 2**31
+
+#: Initial words buffered per stub for one native attempt.  A successful
+#: attempt draws about two pool indices per edge, each accepted with
+#: probability >= 1/2; a short buffer only costs a rerun with more words.
+_WORDS_PER_STUB = 2
+
+# Status codes of repro_sw_attempt (SW_* in _fused.c).
+_SW_GRAPH, _SW_DEAD, _SW_DRY, _SW_WIDE = 0, 1, 2, 3
+
+
+def _native_kernel(n: int, r: int, rng: random.Random):
+    """The kernel's ``repro_sw_attempt`` when it may sample G(n, r) from
+    ``rng`` bit-identically, else None (use the python loop)."""
+    if n * r >= _NATIVE_MAX_STUBS:
+        return None
+    from repro.engine import native
+    from repro.engine.base import MTWordStream
+
+    if not MTWordStream.supports(rng):
+        return None
+    kernel = native.load()
+    return None if kernel is None else kernel.steger_wormald
+
+
+class _NativeAttempts:
+    """Runs :func:`_steger_wormald_attempt` in the C kernel, bit for bit.
+
+    Each attempt hands the kernel a buffer of ``rng``'s upcoming raw words
+    through an :class:`~repro.engine.base.MTWordStream`.  The kernel never
+    makes randomness of its own; it reports how many words it consumed and
+    the stream advances ``rng`` by exactly that many, the state the python
+    loop leaves.  A buffer that runs dry reruns the attempt from the same
+    state with twice the words.
+    """
+
+    def __init__(self, fn, n: int, r: int, rng: random.Random) -> None:
+        import numpy as np
+        from repro.engine.base import MTWordStream
+
+        self._np = np
+        self._fn = fn
+        self._n = n
+        self._r = r
+        self._rng = rng
+        self._stream = MTWordStream(rng)
+        self._eu = np.empty(n * r // 2, dtype=np.int64)
+        self._ev = np.empty(n * r // 2, dtype=np.int64)
+        self._out = np.zeros(1, dtype=np.int64)
+        self._budget = _WORDS_PER_STUB * n * r + 64
+
+    def attempt(self) -> Optional[List[Tuple[int, int]]]:
+        """One attempt: the edge list, or ``None`` on a dead end."""
+        np, stream, n, r = self._np, self._stream, self._n, self._r
+        stream.begin()
+        words = stream.take(self._budget)
+        while True:
+            status = self._fn(
+                n, r, words.ctypes.data, words.size,
+                self._eu.ctypes.data, self._ev.ctypes.data, self._out.ctypes.data,
+            )
+            if status != _SW_DRY:
+                break
+            words = np.concatenate((words, stream.take(words.size)))
+        if status == _SW_WIDE:
+            # A fallback draw past 32 bits: let the python loop replay the
+            # attempt from the untouched generator.
+            stream.sync_to(0)
+            return _steger_wormald_attempt(n, r, self._rng)
+        if status not in (_SW_GRAPH, _SW_DEAD):
+            stream.sync_to(0)
+            raise ReproError(f"native Steger-Wormald kernel failed (status {status})")
+        stream.sync_to(int(self._out[0]))
+        if status == _SW_DEAD:
+            return None
+        # Share one int object per vertex, as the python loop's pool does:
+        # fresh tolist() ints would cost ~2 objects per edge of memory.
+        verts = list(range(n))
+        return list(
+            zip(
+                map(verts.__getitem__, self._eu.tolist()),
+                map(verts.__getitem__, self._ev.tolist()),
+            )
+        )
 
 
 def random_even_degree_graph(

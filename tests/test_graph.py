@@ -251,6 +251,26 @@ class TestCSRLayout:
             entries = list(zip(edge_ids[lo:hi].tolist(), neighbors[lo:hi].tolist()))
             assert entries == list(g.incidence(v))
 
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            # loops (one vertex with two), parallel edges, a loop between
+            # ordinary edges, isolated vertices 5 and 7
+            (8, [(0, 0), (0, 1), (1, 0), (2, 2), (2, 2), (2, 3), (3, 3),
+                 (1, 4), (4, 6), (6, 4), (0, 6), (6, 6)]),
+            (3, []),
+            (4, [(3, 3)]),
+        ],
+    )
+    def test_arrays_equal_incidence_on_multigraph(self, n, edges):
+        g = Graph(n, edges)
+        offsets, edge_ids, neighbors = g.csr_arrays()
+        flat = [entry for v in range(n) for entry in g.incidence(v)]
+        assert list(zip(edge_ids.tolist(), neighbors.tolist())) == flat
+        assert offsets.tolist() == [0] + [
+            sum(g.degree(u) for u in range(v + 1)) for v in range(n)
+        ]
+
     def test_loop_contributes_two_entries(self):
         g = Graph(1, [(0, 0)])
         assert g.csr_offsets.tolist() == [0, 2]

@@ -14,6 +14,11 @@ path, and the >16-degree regular path), shared and distinct-graph
 (tiled) fleets, K in {1, 2, 7, 32}, both cover targets, budget timeouts,
 and the loader's fallback behaviour (numpy path + one RuntimeWarning)
 when the extension is missing.
+
+The extension's second kernel, the Steger–Wormald attempt behind
+``random_regular_graph``, is held to the same standard against the python
+loop: identical edge lists, dead ends and generator end states over a
+grid of sizes that forces dead ends and the exhaustive fallback.
 """
 
 import random
@@ -24,8 +29,9 @@ import pytest
 from repro.core.eprocess import EdgeProcess
 from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, native
 from repro.errors import CoverTimeout, ReproError
+from repro.graphs import random_regular as rr
 from repro.graphs.generators import complete_graph, lollipop_graph
-from repro.graphs.random_regular import random_connected_regular_graph
+from repro.graphs.random_regular import random_connected_regular_graph, random_regular_graph
 from repro.sim.runner import run_trials
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
@@ -200,6 +206,125 @@ class TestNativeVsNumpyParity:
         assert [o.steps for o in auto] == [o.steps for o in off]
 
 
+#: (n, r) for the sampler parity grid: (1000, 4) is the benchmark's
+#: graph; the small dense ones dead-end often, except the complete graphs
+#: K5 and K7, which are forced.
+SW_GRID = [(5, 4), (6, 4), (7, 6), (8, 6), (12, 3), (20, 8), (1000, 4)]
+SW_DEAD_ENDS = {(6, 4), (8, 6), (12, 3), (20, 8)}
+
+
+class _WordReplay(random.Random):
+    """Serves ``getrandbits(k <= 32)`` as the top ``k`` bits of fixed words,
+    the way CPython's MT serves them from its own outputs."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self._words = iter(words)
+        self.used = 0
+
+    def getrandbits(self, k):
+        self.used += 1
+        return next(self._words) >> (32 - k)
+
+
+@native_built
+class TestStegerWormaldParity:
+    def _kernel(self):
+        return native.load().steger_wormald
+
+    @pytest.mark.parametrize("n,r", SW_GRID)
+    def test_attempts_match_reference(self, n, r):
+        dead = 0
+        for seed in range(10 if n >= 1000 else 25):
+            nat_rng, ref_rng = random.Random(seed), random.Random(seed)
+            nat = rr._NativeAttempts(self._kernel(), n, r, nat_rng)
+            for _ in range(1 if n >= 1000 else 3):
+                got = nat.attempt()
+                want = rr._steger_wormald_attempt(n, r, ref_rng)
+                assert got == want
+                assert nat_rng.getstate() == ref_rng.getstate()
+                dead += want is None
+        assert (dead > 0) == ((n, r) in SW_DEAD_ENDS)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fallback_placement_on_crafted_words(self, seed):
+        # On honest words 200 failed tries all but prove a dead end, so the
+        # fallback almost never places an edge.  Runs of zero words force
+        # it: index 0 twice is a self-pair every try.
+        import numpy as np
+
+        n, r = 40, 6
+        src = random.Random(seed)
+        words = []
+        while len(words) < 40 * n * r:
+            words.extend(src.getrandbits(32) for _ in range(src.randrange(1, 300)))
+            words.extend([0] * 600)
+        buf = np.array(words, dtype=np.uint64)
+        eu = np.empty(n * r // 2, dtype=np.int64)
+        ev = np.empty(n * r // 2, dtype=np.int64)
+        out = np.zeros(1, dtype=np.int64)
+        status = self._kernel()(
+            n, r, buf.ctypes.data, buf.size, eu.ctypes.data, ev.ctypes.data, out.ctypes.data,
+        )
+        replay = _WordReplay(words)
+        want = rr._steger_wormald_attempt(n, r, replay)
+        assert status == (rr._SW_DEAD if want is None else rr._SW_GRAPH)
+        assert int(out[0]) == replay.used
+        if want is not None:
+            assert list(zip(eu.tolist(), ev.tolist())) == want
+
+    def test_short_word_buffer_reruns_exactly(self, monkeypatch):
+        # A 64-word first buffer runs dry many times per attempt; every
+        # rerun must restart from the same generator state.
+        monkeypatch.setattr(rr, "_WORDS_PER_STUB", 0)
+        for n, r in [(1000, 4), (8, 6)]:
+            nat_rng, ref_rng = random.Random(n), random.Random(n)
+            nat = rr._NativeAttempts(self._kernel(), n, r, nat_rng)
+            for _ in range(3):
+                assert nat.attempt() == rr._steger_wormald_attempt(n, r, ref_rng)
+                assert nat_rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("n,r", [(7, 6), (50, 3), (1000, 4)])
+    def test_graph_samplers_match_python_only_run(self, n, r, monkeypatch):
+        nat_rng, ref_rng = random.Random(77), random.Random(77)
+        got = [random_regular_graph(n, r, nat_rng).edges() for _ in range(3)]
+        got.append(random_connected_regular_graph(n, r, nat_rng).edges())
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        try:
+            assert rr._native_kernel(n, r, ref_rng) is None
+            want = [random_regular_graph(n, r, ref_rng).edges() for _ in range(3)]
+            want.append(random_connected_regular_graph(n, r, ref_rng).edges())
+        finally:
+            monkeypatch.undo()
+            native._reset_probe_for_testing()
+        assert got == want
+        assert nat_rng.getstate() == ref_rng.getstate()
+
+    def test_edges_share_vertex_ints(self):
+        # Like the python loop's pool, one int object per vertex.
+        nat = rr._NativeAttempts(self._kernel(), 1000, 4, random.Random(3))
+        edges = None
+        while edges is None:
+            edges = nat.attempt()
+        by_value = {}
+        for u, v in edges:
+            assert by_value.setdefault(u, u) is u
+            assert by_value.setdefault(v, v) is v
+
+    def test_bad_arguments_refused(self):
+        import numpy as np
+
+        words = np.zeros(8, dtype=np.uint64)
+        edges = np.zeros(8, dtype=np.int64)
+        out = np.zeros(1, dtype=np.int64)
+        for n, r in [(4, 4), (5, 3), (0, 1), (2**16, 2**15)]:
+            status = self._kernel()(
+                n, r, words.ctypes.data, words.size,
+                edges.ctypes.data, edges.ctypes.data, out.ctypes.data,
+            )
+            assert status == -1
+
+
 class TestNativeLoader:
     def test_env_opt_out_disables_without_warning(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -256,6 +381,26 @@ class TestNativeLoader:
             fleet = FleetVProcess([graph] * 2, starts, rngs, native=True)
             with pytest.raises(ReproError, match="fused kernel is unavailable"):
                 fleet.run_until_cover("vertices")
+        finally:
+            monkeypatch.undo()
+            native._reset_probe_for_testing()
+
+    def test_fallback_warning_names_both_paths(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setattr(native, "_find_extension", lambda: None)
+        native._reset_probe_for_testing()
+        try:
+            with pytest.warns(RuntimeWarning) as record:
+                # The graph sampler probes the loader like the fleets do.
+                g = random_regular_graph(30, 4, random.Random(9))
+            message = str(record[0].message)
+            assert "numpy stepwise path" in message
+            assert "random regular graph sampler" in message
+            twin = random.Random(9)
+            edges = None
+            while edges is None:
+                edges = rr._steger_wormald_attempt(30, 4, twin)
+            assert list(g.edges()) == edges
         finally:
             monkeypatch.undo()
             native._reset_probe_for_testing()

@@ -1,10 +1,13 @@
 """Tests for the random regular / degree-sequence samplers."""
 
+import hashlib
 import random
 
 import pytest
 
+from repro.engine import native
 from repro.errors import GenerationError
+from repro.graphs import random_regular as rr
 from repro.graphs.properties import is_connected
 from repro.graphs.random_regular import (
     configuration_model,
@@ -12,6 +15,13 @@ from repro.graphs.random_regular import (
     random_even_degree_graph,
     random_regular_graph,
 )
+from repro.telemetry import Telemetry, session
+
+#: sha256 of ``repr(random_connected_regular_graph(1000, 4,
+#: random.Random(12345)).edges())`` as the python-only sampler produced
+#: it before the native sampler existed.  Stored results keyed on such
+#: graphs stay reproducible as long as this holds on every path.
+GOLDEN_G1000_4 = "3dad56d9b7f450f16f4fa747532e02770dc2e1994ff692baa17c6d0ebbee65b6"
 
 
 class TestStegerWormald:
@@ -135,3 +145,72 @@ class TestConnectedSampler:
         # 12 samples of G(10,3) should not all coincide.
         seen = {random_regular_graph(10, 3, rng_factory(i)) for i in range(12)}
         assert len(seen) > 3
+
+
+class TestGoldenPin:
+    def test_connected_g1000_4_edges_pinned(self):
+        g = random_connected_regular_graph(1000, 4, random.Random(12345))
+        assert hashlib.sha256(repr(g.edges()).encode()).hexdigest() == GOLDEN_G1000_4
+
+
+class _OwnRandom(random.Random):
+    """A generator whose ``random()`` override changes ``_randbelow``."""
+
+    def random(self):
+        return super().random()
+
+
+class TestNativeDispatch:
+    """Which generators and sizes the native sampler may take.
+
+    The loader is replaced by a fake kernel that records the call and
+    answers SW_WIDE, which hands the attempt back to the python loop from
+    the untouched generator, so these run with or without the build.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def attempt(n, r, words, count, eu, ev, out):
+            seen.append((n, r))
+            return rr._SW_WIDE
+
+        kernel = native.NativeKernel(block=None, steger_wormald=attempt)
+        monkeypatch.setattr(native, "load", lambda: kernel)
+        return seen
+
+    def test_plain_random_dispatches_and_matches_reference(self, calls):
+        g = random_regular_graph(30, 4, random.Random(5))
+        assert calls and set(calls) == {(30, 4)}
+        twin = random.Random(5)
+        edges = None
+        while edges is None:
+            edges = rr._steger_wormald_attempt(30, 4, twin)
+        assert list(g.edges()) == edges
+
+    def test_overridden_random_takes_reference(self, calls):
+        assert rr._native_kernel(30, 4, _OwnRandom(5)) is None
+        random_regular_graph(30, 4, _OwnRandom(5))
+        assert calls == []
+
+    def test_stub_count_bound(self, calls):
+        rng = random.Random(0)
+        assert rr._native_kernel(2**16, 2**15, rng) is None
+        assert rr._native_kernel(2**16, 2**15 - 1, rng) is not None
+        assert calls == []
+
+    def test_env_opt_out_takes_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        try:
+            assert rr._native_kernel(30, 4, random.Random(5)) is None
+        finally:
+            monkeypatch.undo()
+            native._reset_probe_for_testing()
+
+    def test_native_samples_counted(self, calls):
+        tel = Telemetry()
+        with session(tel):
+            random_regular_graph(30, 4, random.Random(5))
+            random_regular_graph(30, 4, _OwnRandom(5))
+        assert tel.counters.get("graphs.native_samples") == 1
