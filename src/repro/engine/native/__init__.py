@@ -4,7 +4,7 @@ The C extension in ``_fused.c`` exports two kernels, bound together as a
 :class:`NativeKernel`:
 
 * ``block`` — the fused lockstep block.  The stepwise fleet kernels
-  (irregular SRW, E-process, V-process) pay a fixed number of numpy
+  (CSR SRW, E-process, V-process) pay a fixed number of numpy
   dispatches *per lockstep step*; this collapses a whole block of steps
   into one call.
 * ``steger_wormald`` — one Steger–Wormald attempt of

@@ -21,7 +21,7 @@ from repro.sim.results import (
 from repro.sim.plot import ascii_plot
 from repro.sim.profiles import ExplorationProfile, ProfilePoint, record_profile
 from repro.sim.rng import DEFAULT_ROOT_SEED, child_seed, seed_sequence, spawn
-from repro.sim.runner import CoverRun, cover_time_trials, sweep
+from repro.sim.runner import CoverRun, cover_time_trials
 from repro.sim.tables import format_kv_block, format_series_table, format_table
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "series_to_json",
     "CoverRun",
     "cover_time_trials",
-    "sweep",
     "FitResult",
     "NormalizedProfile",
     "fit_linear",

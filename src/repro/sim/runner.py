@@ -83,7 +83,6 @@ __all__ = [
     "run_trials",
     "cover_time_trials",
     "aggregate_outcomes",
-    "sweep",
 ]
 
 GraphFactory = Callable[[random.Random], Graph]
@@ -836,14 +835,3 @@ def cover_time_trials(
     )
     return aggregate_outcomes(outcomes)
 
-
-def sweep(
-    xs: Sequence[float],
-    run_at: Callable[[float], CoverRun],
-) -> List[CoverRun]:
-    """Run a measurement at each sweep point (a thin, explicit loop).
-
-    Kept as a function so benchmark code reads declaratively:
-    ``runs = sweep(n_grid, lambda n: cover_time_trials(...))``.
-    """
-    return [run_at(x) for x in xs]

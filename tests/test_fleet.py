@@ -5,7 +5,8 @@ Two layers under test:
 * :class:`repro.engine.fleet.FleetSRW` directly — every lane's cover
   time, final position, first-visit table, and generator end-state must
   equal a sequential :class:`~repro.walks.srw.SimpleRandomWalk` run of
-  the same seed, for every fleet size and both cover targets;
+  the same seed, for every fleet size and both cover targets, on random,
+  torus and odd-degree regular graphs;
 * the runner surface — ``cover_time_trials(engine="fleet")`` must be
   bit-identical to ``engine="reference"`` for every worker count and
   fleet size, raise :class:`ReproError` naming the offending lane when a
@@ -22,10 +23,11 @@ import pytest
 
 from repro.engine import DEFAULT_FLEET_SIZE, FleetSRW, fleet_supported
 from repro.errors import CoverTimeout, GraphError, ReproError
-from repro.graphs.generators import cycle_graph, path_graph
+from repro.graphs.generators import cycle_graph, path_graph, torus_grid
 from repro.graphs.graph import Graph
 from repro.graphs.random_regular import random_connected_regular_graph
 from repro.sim.runner import cover_time_trials
+from repro.telemetry import Telemetry, session
 from repro.walks.srw import SimpleRandomWalk
 
 FLEET_SIZES = [1, 2, 7, 32]
@@ -35,16 +37,31 @@ def _regular(n=200, d=4, seed=7):
     return random_connected_regular_graph(n, d, random.Random(seed))
 
 
+#: Regular shapes of the parity grid: random 4-regular, a 4-regular torus
+#: (short lattice cycles), and 3-regular (a non-power-of-two modulus).
+SHAPES = {
+    "regular": _regular,
+    "torus": lambda: torus_grid(12, 12),
+    "odd": lambda: _regular(n=150, d=3, seed=3),
+}
+
+
 class TestFleetSRWParity:
     @pytest.mark.parametrize("K", FLEET_SIZES)
     @pytest.mark.parametrize("target", ["vertices", "edges"])
-    def test_shared_graph_lanes_match_sequential_walks(self, K, target):
-        graph = _regular()
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shared_graph_lanes_match_sequential_walks(self, shape, K, target):
+        graph = SHAPES[shape]()
         starts = [random.Random(100 + k).randrange(graph.n) for k in range(K)]
         rngs = [random.Random(1000 + k) for k in range(K)]
         twins = [random.Random(1000 + k) for k in range(K)]
-        fleet = FleetSRW([graph] * K, starts, rngs)
-        cover = fleet.run_until_cover(target=target)
+        tel = Telemetry()
+        with session(tel):
+            fleet = FleetSRW([graph] * K, starts, rngs)
+            cover = fleet.run_until_cover(target=target)
+        # The run ends in the scalar tail hand-off (``_finish_lane``) —
+        # after lockstep blocks and lane retirements when K > 6.
+        assert tel.counters["fleet.tail_handoffs"] == 1
         for k in range(K):
             walk = SimpleRandomWalk(graph, starts[k], rng=twins[k], track_edges=True)
             expected = (

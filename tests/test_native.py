@@ -10,10 +10,11 @@ reference walks.
 
 The suite covers every fleet walk (srw / eprocess / vprocess), regular
 and irregular lanes (packed bitmask tables, the general cumulative-rank
-path, and the >16-degree regular path), shared and distinct-graph
-(tiled) fleets, K in {1, 2, 7, 32}, both cover targets, budget timeouts,
-and the loader's fallback behaviour (numpy path + one RuntimeWarning)
-when the extension is missing.
+path, and the >16-degree regular path; random 4-regular, torus and
+odd-degree regular graphs for the fixed-degree rows), shared and
+distinct-graph (tiled) fleets, K in {1, 2, 7, 32}, both cover targets,
+budget timeouts, and the loader's fallback behaviour (numpy path + one
+RuntimeWarning) when the extension is missing.
 
 The extension's second kernel, the Steger–Wormald attempt behind
 ``random_regular_graph``, is held to the same standard against the python
@@ -30,9 +31,10 @@ from repro.core.eprocess import EdgeProcess
 from repro.engine import FleetEdgeProcess, FleetSRW, FleetVProcess, native
 from repro.errors import CoverTimeout, ReproError
 from repro.graphs import random_regular as rr
-from repro.graphs.generators import complete_graph, lollipop_graph
+from repro.graphs.generators import complete_graph, lollipop_graph, torus_grid
 from repro.graphs.random_regular import random_connected_regular_graph, random_regular_graph
 from repro.sim.runner import run_trials
+from repro.telemetry import Telemetry, session
 from repro.walks.choice import UnvisitedVertexWalk
 from repro.walks.srw import SimpleRandomWalk
 
@@ -58,15 +60,21 @@ native_built = pytest.mark.skipif(
 
 def _graph(shape: str):
     if shape == "regular":
-        # 4-regular: the packed 2^d bitmask path for the E-/V-process.
+        # 4-regular: the packed 2^d bitmask path for the E-/V-process and
+        # the fixed-degree row path (``d ? gc * d``) for SRW.
         return random_connected_regular_graph(60, 4, random.Random(7))
+    if shape == "torus":
+        # 8x8 torus: 4-regular with a lattice's short cycles.
+        return torus_grid(8, 8)
+    if shape == "odd":
+        # 3-regular: an odd modulus, so neither the ``_randbelow``
+        # acceptance bound nor the row stride is a power of two.
+        return random_connected_regular_graph(60, 3, random.Random(8))
     if shape == "bigdegree":
         # 17-regular: regular but past PACKED_DEGREE_MAX, so the E-/V-
         # process fleets run the general candidate scan with d fixed.
         return complete_graph(18)
-    # Clique + pendant path: degrees 1..6, the per-degree prefilter path
-    # (and the SRW fleet's only stepwise shape — regular SRW fleets use
-    # the prefiltered block kernel, which has no native variant).
+    # Clique + pendant path: degrees 1..6, the per-degree prefilter path.
     return lollipop_graph(6, 9)
 
 
@@ -105,7 +113,7 @@ def _make_fleet(walk_name, graphs, starts, rngs, native_pref):
 class TestNativeVsNumpyParity:
     @pytest.mark.parametrize("K", FLEET_SIZES)
     @pytest.mark.parametrize("target", ["vertices", "edges"])
-    @pytest.mark.parametrize("shape", ["regular", "irregular"])
+    @pytest.mark.parametrize("shape", ["regular", "torus", "odd", "irregular"])
     @pytest.mark.parametrize("walk", sorted(FLEETS))
     def test_native_matches_numpy_and_reference(self, walk, shape, target, K):
         graph = _graph(shape)
@@ -430,3 +438,46 @@ class TestNativeLoader:
         fleet2 = FleetSRW([graph] * 2, starts, twins, native=None)
         fleet2.run_until_cover("vertices")
         assert fleet2._native is not None
+
+    def test_regular_srw_native_true_without_kernel_raises(self, monkeypatch):
+        # Regular SRW fleets step through the stepwise driver, so an
+        # explicit native=True is honoured there too: no kernel, no run.
+        graph = _graph("odd")
+        starts, rngs, _ = _lanes(graph, 8, 9200)
+        monkeypatch.setattr(native, "load", lambda: None)
+        fleet = FleetSRW([graph] * 8, starts, rngs, native=True)
+        with pytest.raises(ReproError, match="fused kernel is unavailable"):
+            fleet.run_until_cover("vertices")
+
+    def test_regular_srw_counts_the_kernel_that_ran(self, monkeypatch):
+        # A fake kernel that fails every block call shows the routing
+        # without a build: the default preference reaches it, native=False
+        # never touches it.
+        calls = []
+
+        def block(par, slots):
+            calls.append(par)
+            return -1
+
+        graph = _graph("torus")
+        monkeypatch.setattr(
+            native, "load", lambda: native.NativeKernel(block=block, steger_wormald=None)
+        )
+        tel = Telemetry()
+        with session(tel):
+            starts, rngs, _ = _lanes(graph, 8, 9300)
+            with pytest.raises(ReproError, match="status -1"):
+                FleetSRW([graph] * 8, starts, rngs).run_until_cover("vertices")
+            assert len(calls) == 1
+            assert tel.counters.get("fleet.native_fleets") == 1
+
+            starts, rngs, twins = _lanes(graph, 8, 9400)
+            fleet = FleetSRW([graph] * 8, starts, rngs, native=False)
+            cover = fleet.run_until_cover("vertices")
+        assert len(calls) == 1
+        assert tel.counters.get("fleet.numpy_fleets") == 1
+        assert "fleet.block_fleets" not in tel.counters
+        for k in range(8):
+            walk = SimpleRandomWalk(graph, starts[k], rng=twins[k])
+            assert cover[k] == walk.run_until_vertex_cover()
+            assert rngs[k].getstate() == twins[k].getstate()

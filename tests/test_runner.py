@@ -8,7 +8,7 @@ from repro.core.eprocess import EdgeProcess
 from repro.errors import ReproError
 from repro.graphs.generators import cycle_graph
 from repro.graphs.random_regular import random_connected_regular_graph
-from repro.sim.runner import cover_time_trials, sweep
+from repro.sim.runner import cover_time_trials
 from repro.walks.srw import SimpleRandomWalk
 
 
@@ -80,13 +80,6 @@ class TestCoverTimeTrials:
             cover_time_trials(g, _srw_factory, trials=0, root_seed=1)
         with pytest.raises(ReproError):
             cover_time_trials(g, _srw_factory, trials=1, root_seed=1, target="faces")
-
-
-class TestSweep:
-    def test_runs_in_order(self):
-        g = cycle_graph(8)
-        runs = sweep([1, 2, 3], lambda k: cover_time_trials(g, _srw_factory, trials=int(k), root_seed=4))
-        assert [r.stats.count for r in runs] == [1, 2, 3]
 
 
 def _regular_workload(rng):

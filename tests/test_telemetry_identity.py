@@ -37,7 +37,8 @@ def _run_fleet(walk_name, graph, K, seed):
 
 @pytest.fixture(scope="module")
 def regular_graph():
-    # 6-regular: SRW fleets take the prefiltered block kernel.
+    # 6-regular: the stepwise kernel's fixed-degree row path, with a
+    # non-power-of-two SRW modulus.
     return hypercube_graph(6)
 
 
