@@ -18,7 +18,11 @@ Two modes:
   walk's best per-trial engine.  Fleet sections additionally time the
   *numpy* and *native* (fused C kernel) stepwise paths separately —
   ``native_speedup`` is native-over-numpy for the same fleet, null when
-  the extension is not built.  Written to ``benchmarks/out/BENCH_engine.json`` and appended
+  the extension is not built.  A ``graphs`` section times the graph
+  layer, the first one a trial crosses: milliseconds per connected random
+  4-regular graph, sampled per trial as the runner samples them, with the
+  native sampler and with its python loop (``REPRO_NATIVE=0``).
+  Written to ``benchmarks/out/BENCH_engine.json`` and appended
   (one JSON line per run) to ``benchmarks/out/BENCH_engine_history.jsonl``
   so the perf trajectory accumulates across PRs — see
   ``benchmarks/README.md`` for how to read it.
@@ -29,16 +33,20 @@ cover bookkeeping live) are reported alongside.
 
 ``--smoke`` (used by CI) swaps timing for correctness: on a small graph
 it asserts every engine pair — array twins and the srw/eprocess/vprocess
-fleets — stays bit-identical to its reference, and exits non-zero on any
-mismatch.  No timing assertions, no files written.
+fleets — stays bit-identical to its reference, that an E-process fleet
+over freshly sampled graphs leaves every lane graph's incidence table
+unbuilt, and that the native and python samplers give the same edges; it
+exits non-zero on any failure.  No timing assertions, no files written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 try:
@@ -86,6 +94,10 @@ FLEET_SECTIONS = {
     "vprocess": ("vprocess", "regular", FLEET_SIZES),
     "srw_irregular": ("srw", "irregular", (128,)),
 }
+#: Graph-layer section: connected random 4-regular graphs per timing
+#: round, one per trial (the eprocess-regular sweep's shape).
+GRAPH_BUILDS = 128
+GRAPH_N = 1000
 OUT_DIR = Path(__file__).parent / "out"
 OUTPUT_PATH = OUT_DIR / "BENCH_engine.json"
 HISTORY_PATH = OUT_DIR / "BENCH_engine_history.jsonl"
@@ -105,6 +117,55 @@ def _irregular_graph(n: int, rng):
         if is_connected(g):
             return g
     raise RuntimeError(f"no connected even-degree sample for n={n}")
+
+
+def _sampled_graphs(count: int, n: int):
+    """``count`` connected random regular graphs, each seeded the way the
+    runner seeds a trial's graph (``spawn(root, label, "graph", trial)``)."""
+    return [
+        random_connected_regular_graph(n, DEGREE, spawn(ROOT_SEED, "E12-graphs", "graph", t))
+        for t in range(count)
+    ]
+
+
+@contextmanager
+def _python_sampler():
+    """Run the block with ``REPRO_NATIVE=0``: the sampler's python loop."""
+    previous = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "0"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_NATIVE"]
+        else:
+            os.environ["REPRO_NATIVE"] = previous
+
+
+def _measure_graphs(count: int, n: int, rounds: int) -> dict:
+    """Milliseconds per graph build (sampling plus the connectivity check,
+    whose CSR the fleet reuses), best of ``rounds``, with the native
+    sampler (null when the extension is unavailable) and its python loop.
+    """
+
+    def best_ms():
+        best = float("inf")
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            _sampled_graphs(count, n)
+            best = min(best, (time.perf_counter() - t0) * 1e3 / count)
+        return round(best, 3)
+
+    native_ms = best_ms() if native.available() else None
+    with _python_sampler():
+        python_ms = best_ms()
+    return {
+        "graphs": count,
+        "n": n,
+        "degree": DEGREE,
+        "native_ms_per_graph": native_ms,
+        "python_ms_per_graph": python_ms,
+    }
 
 
 def bench_srw_steps(benchmark):
@@ -420,6 +481,27 @@ def run_smoke(n: int) -> int:
                         f"smoke fleet {walk_name} ({shape}, {kernel}): "
                         f"{K} lanes == sequential walks (covers + RNG state)"
                     )
+    # Graph layer: sampling (its connectivity check included) and an
+    # E-process fleet read only the CSR arrays, so no lane graph builds
+    # its incidence tuples; and the native sampler replays the python one.
+    lane_graphs = _sampled_graphs(K, min(n, GRAPH_N))
+    starts = [k % lane_graphs[0].n for k in range(K)]
+    rngs = [random.Random(2000 + k) for k in range(K)]
+    FLEET_ENGINES["eprocess"](lane_graphs, starts, rngs).run_until_cover("vertices")
+    built = sum(g._incidence is not None for g in lane_graphs)
+    if built:
+        failures.append(f"graphs: an E-process fleet built {built}/{K} incidence tables")
+    else:
+        print(f"smoke graphs: E-process fleet over {K} sampled graphs built no incidence table")
+    if use_native:
+        with _python_sampler():
+            python_edges = _sampled_graphs(1, lane_graphs[0].n)[0].edges()
+        if python_edges != lane_graphs[0].edges():
+            failures.append("graphs: native sampler edges differ from the python sampler's")
+        else:
+            print("smoke graphs: native sampler edges == python sampler edges")
+    else:
+        print("smoke graphs: native sampler unavailable, edge comparison skipped")
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0
@@ -466,6 +548,7 @@ def main(argv=None) -> int:
             for section, (walk, kind, sizes) in FLEET_SECTIONS.items()
         }
     snap = tel.snapshot()
+    graphs = _measure_graphs(GRAPH_BUILDS, GRAPH_N, args.rounds)
     report = {
         "benchmark": "engine_throughput",
         "n": args.n,
@@ -476,6 +559,7 @@ def main(argv=None) -> int:
         "native_kernel": native.kernel_path() or "unavailable",
         "engines": engines,
         "fleet": fleet,
+        "graphs": graphs,
         "metrics": {
             "counters": snap["counters"],
             "gauges": snap["gauges"],
@@ -496,7 +580,9 @@ def main(argv=None) -> int:
             "median of per-round ratios; fleet side = native fused kernel "
             "when built), and 'native_speedup' compares the same fleet's "
             "native and numpy stepwise paths (null when the extension is "
-            "missing)"
+            "missing); 'graphs' is the best-of-rounds wall time per "
+            "connected random regular graph build, native sampler vs "
+            "REPRO_NATIVE=0"
         ),
     }
     report["speedup"] = report["engines"]["srw"]["steady"]["speedup"]
@@ -518,6 +604,10 @@ def main(argv=None) -> int:
             for section, sizes in fleet.items()
             for k, entry in sizes.items()
             if entry["native_speedup"] is not None
+        },
+        "graph_ms_per_build": {
+            "native": graphs["native_ms_per_graph"],
+            "python": graphs["python_ms_per_graph"],
         },
     }
     with HISTORY_PATH.open("a") as fh:

@@ -2,9 +2,9 @@
  * engines, and one Steger-Wormald attempt for the random regular graphs
  * the E-process runs on.
  *
- * One call advances every active lane of a `_StepwiseFleet` (the
- * irregular-graph SRW fleet, the E-process fleet, or the V-process
- * fleet) up to T lockstep steps, replacing the ~40 numpy dispatches the
+ * One call advances every active lane of a `_StepwiseFleet` (the CSR
+ * SRW fleet, the E-process fleet, or the V-process fleet) up to T
+ * lockstep steps, replacing the ~40 numpy dispatches the
  * pure-python kernel pays per step with one tight C loop per block.
  *
  * The contract is bit-identical replay of the numpy path (and therefore

@@ -4,12 +4,16 @@ This is the graph substrate every other subsystem builds on.  Design goals,
 in order:
 
 1. *Fast walk simulation.*  Vertices are ``0..n-1`` and edges are ``0..m-1``,
-   so walk processes can index plain ``list``/``bytearray`` state by id.  The
-   incidence structure is a list of ``(edge_id, neighbour)`` pairs per vertex;
-   a uniform choice over a vertex's incidence entries *is* the simple random
-   walk transition on multigraphs (parallel edges weight the transition,
-   loops — which appear twice — keep the chain's stationary distribution
-   proportional to degree).
+   so walk processes can index plain ``list``/``bytearray`` state by id.  A
+   graph stores only its edge tuple and its degrees; the incidence structure
+   — ``(edge_id, neighbour)`` pairs per vertex, in one fixed order — comes in
+   two layouts, each built on first use and cached: flat CSR arrays
+   (:meth:`Graph.csr_arrays`, what the array and fleet engines and the
+   connectivity check read) and a tuple table (:meth:`Graph.incidence_table`,
+   what the reference walks and property code read).  A uniform choice over
+   a vertex's incidence entries *is* the simple random walk transition on
+   multigraphs (parallel edges weight the transition, loops — which appear
+   twice — keep the chain's stationary distribution proportional to degree).
 
 2. *Multigraph fidelity.*  The paper's proofs contract vertex sets to a
    single vertex "retaining multiple edges and loops" (Section 2.2) and
@@ -51,6 +55,10 @@ def _normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """An immutable undirected multigraph.
 
+    Construction validates the edges and records the edge tuple and the
+    degrees, nothing more.  The incidence table and the CSR arrays are
+    derived on first use, cached on the graph and shared by every caller.
+
     Parameters
     ----------
     num_vertices:
@@ -68,7 +76,6 @@ class Graph:
         if num_vertices < 0:
             raise GraphError(f"num_vertices must be >= 0, got {num_vertices}")
         edge_list: List[Edge] = []
-        incidence: List[List[IncidenceEntry]] = [[] for _ in range(num_vertices)]
         degrees = [0] * num_vertices
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
@@ -77,19 +84,15 @@ class Graph:
                     f"0..{num_vertices - 1}"
                 )
             edge_list.append((u, v))
-            incidence[u].append((eid, v))
-            incidence[v].append((eid, u))
             degrees[u] += 1
             degrees[v] += 1
         self._n = num_vertices
         self._edges: Tuple[Edge, ...] = tuple(edge_list)
-        self._incidence: Tuple[Tuple[IncidenceEntry, ...], ...] = tuple(
-            tuple(entries) for entries in incidence
-        )
         self._degrees: Tuple[int, ...] = tuple(degrees)
         self._name = name
-        # Lazily built flat-array incidence and memo dict (see csr_arrays /
-        # scratch_cache).
+        # Lazily built incidence tuples, flat-array incidence and memo dict
+        # (see _incidence_rows / csr_arrays / scratch_cache).
+        self._incidence: Optional[Tuple[Tuple[IncidenceEntry, ...], ...]] = None
         self._csr: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None
         self._scratch: Optional[dict] = None
 
@@ -148,16 +151,36 @@ class Graph:
 
         Loops at ``vertex`` appear twice, so ``len(incidence(v)) == degree(v)``.
         """
-        return self._incidence[vertex]
+        return self._incidence_rows()[vertex]
 
     def incidence_table(self) -> Tuple[Tuple[IncidenceEntry, ...], ...]:
         """The whole incidence structure, vertex-indexed (shared, immutable).
 
-        The walk framework keeps a reference to this instead of building a
-        per-walk copy — sharing one graph across thousands of trials then
-        costs no per-trial allocation.
+        Built on the first call (of this or any incidence-based accessor)
+        and cached on the graph, so every later call returns the same
+        object.  The walk framework keeps a reference to this instead of
+        building a per-walk copy — sharing one graph across thousands of
+        trials then costs no per-trial allocation — and graphs that only
+        ever reach the flat-array engines never build it at all.
         """
-        return self._incidence
+        return self._incidence_rows()
+
+    def _incidence_rows(self) -> Tuple[Tuple[IncidenceEntry, ...], ...]:
+        """The cached incidence table, built on first use.
+
+        The whole table is built before the single assignment, so two
+        threads racing on a shared graph each build an equal table and
+        neither can observe a partial one (the ``csr_arrays`` pattern).
+        """
+        table = self._incidence
+        if table is None:
+            rows: List[List[IncidenceEntry]] = [[] for _ in range(self._n)]
+            for eid, (u, v) in enumerate(self._edges):
+                rows[u].append((eid, v))
+                rows[v].append((eid, u))
+            table = tuple(map(tuple, rows))
+            self._incidence = table
+        return table
 
     def neighbors(self, vertex: int) -> Tuple[int, ...]:
         """Distinct neighbours of ``vertex`` in ascending order.
@@ -173,7 +196,7 @@ class Graph:
         out = table.get(vertex)
         if out is None:
             out = table[vertex] = tuple(
-                sorted({w for (_, w) in self._incidence[vertex]})
+                sorted({w for (_, w) in self._incidence_rows()[vertex]})
             )
         return out
 
@@ -186,7 +209,7 @@ class Graph:
         out = table.get(vertex)
         if out is None:
             out = table[vertex] = tuple(
-                sorted({eid for (eid, _) in self._incidence[vertex]})
+                sorted({eid for (eid, _) in self._incidence_rows()[vertex]})
             )
         return out
 
@@ -251,16 +274,17 @@ class Graph:
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
         # scan the smaller incidence list
-        if len(self._incidence[u]) > len(self._incidence[v]):
+        if self._degrees[u] > self._degrees[v]:
             u, v = v, u
-        return any(w == v for (_, w) in self._incidence[u])
+        return any(w == v for (_, w) in self._incidence_rows()[u])
 
     def edge_ids_between(self, u: int, v: int) -> Tuple[int, ...]:
         """All edge ids joining ``u`` and ``v`` (parallel edges give several)."""
+        incident = self._incidence_rows()[u]
         if u == v:
             # each loop appears twice in incidence; deduplicate
-            return tuple(sorted({eid for (eid, w) in self._incidence[u] if w == u}))
-        return tuple(sorted(eid for (eid, w) in self._incidence[u] if w == v))
+            return tuple(sorted({eid for (eid, w) in incident if w == u}))
+        return tuple(sorted(eid for (eid, w) in incident if w == v))
 
     # ------------------------------------------------------------------
     # Flat-array (CSR) incidence layout

@@ -37,8 +37,13 @@ def connected_components(graph: Graph) -> List[List[int]]:
     """Vertex sets of the connected components, each in ascending order.
 
     Components are ordered by their smallest vertex.  Isolated vertices form
-    singleton components.
+    singleton components.  The search reads the graph's CSR arrays — the
+    layout the fleet engines step, cached on the graph — so a connectivity
+    check never builds the per-vertex incidence tuples.
     """
+    offsets, _edge_ids, neighbors = graph.csr_arrays()
+    off = offsets.tolist()
+    nbrs = neighbors.tolist()
     label = [_UNSEEN] * graph.n
     components: List[List[int]] = []
     for root in range(graph.n):
@@ -50,7 +55,7 @@ def connected_components(graph: Graph) -> List[List[int]]:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for _eid, w in graph.incidence(v):
+            for w in nbrs[off[v]:off[v + 1]]:
                 if label[w] == _UNSEEN:
                     label[w] = comp_id
                     members.append(w)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 from repro.errors import CoverTimeout, GraphError
 from repro.graphs.graph import Graph
@@ -100,11 +101,17 @@ class WalkProcess(ABC):
             self.num_visited_edges = 0
             self.first_edge_visit_time = []
 
-        # The graph's own (immutable) incidence table: the hot loop reads
-        # it every step, and sharing it costs no per-trial allocation —
-        # walks constructed by the thousand on one graph used to rebuild
-        # an n-entry list each.
-        self._incidence = graph.incidence_table()
+    @cached_property
+    def _incidence(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """The graph's own (immutable) incidence table, bound on first read.
+
+        The hot loop reads it every step, and sharing it costs no per-trial
+        allocation — walks constructed by the thousand on one graph used to
+        rebuild an n-entry list each.  Binding it lazily (after the first
+        read it is a plain instance attribute) lets the array engines, whose
+        chunked runners step the CSR arrays, leave the graph's table unbuilt.
+        """
+        return self.graph.incidence_table()
 
     # ------------------------------------------------------------------
     # Core stepping

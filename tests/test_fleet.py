@@ -25,6 +25,7 @@ from repro.engine import DEFAULT_FLEET_SIZE, FleetSRW, fleet_supported
 from repro.errors import CoverTimeout, GraphError, ReproError
 from repro.graphs.generators import cycle_graph, path_graph, torus_grid
 from repro.graphs.graph import Graph
+from repro.graphs.properties import is_connected
 from repro.graphs.random_regular import random_connected_regular_graph
 from repro.sim.runner import cover_time_trials
 from repro.telemetry import Telemetry, session
@@ -92,6 +93,34 @@ class TestFleetSRWParity:
         for k in range(K):
             walk = SimpleRandomWalk(graphs[k], starts[k], rng=twins[k], track_edges=True)
             assert cover[k] == walk.run_until_vertex_cover()
+            assert rngs[k].getstate() == twins[k].getstate()
+
+    @pytest.mark.parametrize("target", ["vertices", "edges"])
+    def test_torus_lanes_never_build_incidence(self, target):
+        # A torus per trial, checked for connectivity and stepped to cover
+        # through lockstep blocks and the tail hand-off: the fleet and
+        # the connectivity check read the CSR arrays only, so no lane
+        # graph may build its per-vertex incidence tuples.
+        K = 9
+        graphs = [torus_grid(10, 10) for _ in range(K)]
+        assert all(is_connected(g) for g in graphs)
+        starts = [random.Random(100 + k).randrange(100) for k in range(K)]
+        rngs = [random.Random(3000 + k) for k in range(K)]
+        twins = [random.Random(3000 + k) for k in range(K)]
+        tel = Telemetry()
+        with session(tel):
+            fleet = FleetSRW(graphs, starts, rngs)
+            cover = fleet.run_until_cover(target)
+        assert tel.counters["fleet.tail_handoffs"] >= 1
+        assert all(g._incidence is None for g in graphs)
+        for k in range(K):
+            walk = SimpleRandomWalk(graphs[k], starts[k], rng=twins[k], track_edges=True)
+            if target == "vertices":
+                assert cover[k] == walk.run_until_vertex_cover()
+                assert fleet.first_visit_time(k) == walk.first_visit_time
+            else:
+                assert cover[k] == walk.run_until_edge_cover()
+                assert fleet.first_visit_time(k) == walk.first_edge_visit_time
             assert rngs[k].getstate() == twins[k].getstate()
 
     def test_odd_degree_modulus(self):

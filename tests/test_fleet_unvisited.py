@@ -19,8 +19,10 @@ from repro.engine import FleetEdgeProcess, FleetVProcess
 from repro.errors import CoverTimeout, ReproError
 from repro.graphs.generators import cycle_graph, lollipop_graph
 from repro.graphs.graph import Graph
+from repro.graphs.properties import is_connected
 from repro.graphs.random_regular import random_connected_regular_graph
 from repro.sim.runner import cover_time_trials
+from repro.telemetry import Telemetry, session
 from repro.walks.choice import UnvisitedVertexWalk
 
 FLEET_SIZES = [1, 2, 7, 32]
@@ -82,6 +84,31 @@ class TestFleetEdgeProcessParity:
             assert cover[k] == walk.run_until_vertex_cover()
             assert rngs[k].getstate() == twins[k].getstate()
             assert fleet.phase_marks(k) == list(walk.phase_marks)
+
+    def test_regular_lanes_never_build_incidence(self):
+        # The eprocess-regular shape: a fresh connected random 4-regular
+        # graph per lane, stepped through lockstep blocks and the tail
+        # hand-off.  Sampling (its connectivity check included) and the
+        # fleet read the CSR arrays only, so no lane graph may build its
+        # per-vertex incidence tuples.
+        K = 9
+        graphs = [random_connected_regular_graph(60, 4, random.Random(70 + k)) for k in range(K)]
+        assert all(is_connected(g) for g in graphs)
+        starts = [k % 60 for k in range(K)]
+        rngs = [random.Random(5000 + k) for k in range(K)]
+        twins = [random.Random(5000 + k) for k in range(K)]
+        tel = Telemetry()
+        with session(tel):
+            fleet = FleetEdgeProcess(graphs, starts, rngs)
+            cover = fleet.run_until_cover("edges")
+        assert tel.counters["fleet.tail_handoffs"] >= 1
+        assert all(g._incidence is None for g in graphs)
+        for k in range(K):
+            walk = EdgeProcess(graphs[k], starts[k], rng=twins[k], record_phases=True)
+            assert cover[k] == walk.run_until_edge_cover()
+            assert rngs[k].getstate() == twins[k].getstate()
+            assert fleet.first_visit_time(k) == walk.first_visit_time
+            assert fleet.first_edge_visit_time(k) == walk.first_edge_visit_time
 
     def test_record_phases_off_same_numbers(self):
         graph = _regular(n=40)

@@ -4,6 +4,17 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph, GraphBuilder
+from repro.graphs.properties import is_connected
+
+#: Multigraph shapes for the layout tests: loops (one vertex with two),
+#: parallel edges, a loop between ordinary edges, isolated vertices 5 and
+#: 7; an edgeless graph; a loop-only vertex beside isolated ones.
+MULTIGRAPHS = [
+    (8, [(0, 0), (0, 1), (1, 0), (2, 2), (2, 2), (2, 3), (3, 3),
+         (1, 4), (4, 6), (6, 4), (0, 6), (6, 6)]),
+    (3, []),
+    (4, [(3, 3)]),
+]
 
 
 class TestConstruction:
@@ -251,17 +262,7 @@ class TestCSRLayout:
             entries = list(zip(edge_ids[lo:hi].tolist(), neighbors[lo:hi].tolist()))
             assert entries == list(g.incidence(v))
 
-    @pytest.mark.parametrize(
-        "n,edges",
-        [
-            # loops (one vertex with two), parallel edges, a loop between
-            # ordinary edges, isolated vertices 5 and 7
-            (8, [(0, 0), (0, 1), (1, 0), (2, 2), (2, 2), (2, 3), (3, 3),
-                 (1, 4), (4, 6), (6, 4), (0, 6), (6, 6)]),
-            (3, []),
-            (4, [(3, 3)]),
-        ],
-    )
+    @pytest.mark.parametrize("n,edges", MULTIGRAPHS)
     def test_arrays_equal_incidence_on_multigraph(self, n, edges):
         g = Graph(n, edges)
         offsets, edge_ids, neighbors = g.csr_arrays()
@@ -270,6 +271,31 @@ class TestCSRLayout:
         assert offsets.tolist() == [0] + [
             sum(g.degree(u) for u in range(v + 1)) for v in range(n)
         ]
+
+    @pytest.mark.parametrize("n,edges", MULTIGRAPHS)
+    def test_lazy_incidence_matches_eager_build(self, n, edges):
+        g = Graph(n, edges)
+        g.csr_arrays()
+        is_connected(g)
+        assert g._incidence is None  # neither read the tuple table
+        # The table as the constructor used to build it, eagerly.
+        eager = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(edges):
+            eager[u].append((eid, v))
+            eager[v].append((eid, u))
+        table = g.incidence_table()
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert table == tuple(tuple(row) for row in eager)
+        assert g.incidence_table() is table
+        for v in range(n):
+            assert g.incidence(v) is table[v]
+            assert g.neighbors(v) == tuple(sorted({w for _, w in eager[v]}))
+            assert g.incident_edges(v) == tuple(sorted({e for e, _ in eager[v]}))
+            for u in range(n):
+                assert g.edge_ids_between(v, u) == tuple(
+                    sorted({e for e, w in eager[v] if w == u})
+                )
+                assert g.has_edge(v, u) == any(w == u for _, w in eager[v])
 
     def test_loop_contributes_two_entries(self):
         g = Graph(1, [(0, 0)])

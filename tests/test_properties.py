@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import GraphError, NotConnectedError
+from repro.graphs.cycle_space import cycle_space_basis, cycle_space_dimension
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -54,6 +55,43 @@ class TestComponents:
     def test_require_connected_raises(self):
         with pytest.raises(NotConnectedError):
             require_connected(Graph(2, []), "test")
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(0, []),
+            Graph(1, []),
+            Graph(1, [(0, 0)]),
+            Graph(5, [(0, 1), (3, 4)]),  # isolated vertex 2
+            Graph(4, [(0, 1), (2, 2), (2, 2), (1, 3)]),  # loop-only vertex 2
+            Graph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 1)]),  # parallels
+            disjoint_union(cycle_graph(3), disjoint_union(Graph(2, [(1, 1)]), cycle_graph(4))),
+            disjoint_union(torus_grid(3, 4), petersen_graph()),
+            path_graph(2000),
+        ],
+        ids=lambda g: f"n{g.n}m{g.m}",
+    )
+    def test_matches_union_find_over_edges(self, graph):
+        parent = list(range(graph.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in graph.edges():
+            parent[find(u)] = find(v)
+        groups = {}
+        for v in range(graph.n):
+            groups.setdefault(find(v), []).append(v)
+        expected = sorted(groups.values())
+        assert connected_components(graph) == expected
+        assert is_connected(graph) == (len(expected) <= 1)
+        # The cyclomatic number m - n + c counts components too, and must
+        # agree with the size of a BFS-forest cycle basis.
+        assert cycle_space_dimension(graph) == graph.m - graph.n + len(expected)
+        assert len(cycle_space_basis(graph)) == cycle_space_dimension(graph)
 
 
 class TestDistances:
