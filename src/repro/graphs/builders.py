@@ -4,16 +4,19 @@ The paper's experiments used NetworkX's random regular generator; we keep a
 faithful two-way bridge so our own generators (see
 :mod:`repro.graphs.random_regular`) can be cross-validated against it, and so
 downstream users can bring arbitrary NetworkX graphs into the walk engine.
+NetworkX is imported on the first call to :func:`to_networkx`, so importing
+this module (and every sweep) stays free of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.graph import Edge, Graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "from_edges",
@@ -103,6 +106,8 @@ def to_networkx(graph: Graph) -> "nx.MultiGraph":
     A multigraph is always returned so loops and parallel edges survive the
     round trip; edge ids are stored as the ``eid`` edge attribute.
     """
+    import networkx as nx
+
     out = nx.MultiGraph(name=graph.name)
     out.add_nodes_from(range(graph.n))
     for eid, (u, v) in enumerate(graph.edges()):

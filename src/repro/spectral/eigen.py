@@ -7,6 +7,8 @@ lazy, so the spectrum maps ``λ ↦ (1+λ)/2`` — is exposed via ``lazy=True``.
 
 Dense solvers are exact and used below ``DENSE_THRESHOLD`` vertices; larger
 graphs go through symmetric Lanczos on the normalized adjacency.
+scipy.sparse.linalg is imported on the first Lanczos call, so importing
+this module (and every sweep) stays free of it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.errors import SpectralError
 from repro.graphs.graph import Graph
@@ -63,6 +64,8 @@ def extreme_eigenvalues(graph: Graph) -> Tuple[float, float, float]:
     if graph.n <= DENSE_THRESHOLD:
         values = transition_spectrum(graph)
         return float(values[0]), float(values[1]), float(values[-1])
+    import scipy.sparse.linalg as spla
+
     sym = normalized_adjacency(graph, sparse=True)
     top = spla.eigsh(sym, k=2, which="LA", return_eigenvectors=False)
     bottom = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False)

@@ -4,12 +4,14 @@ Loops follow the random-walk convention: a loop at ``v`` adds 2 to
 ``A[v, v]`` (and 2 to the degree), which keeps ``P = D⁻¹A`` row-stochastic
 and the stationary distribution proportional to degree — exactly the chain
 the paper analyses on contracted multigraphs.
+
+scipy.sparse is imported on the first call that builds a matrix, so
+importing this module (and every sweep) stays free of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import SpectralError
 from repro.graphs.graph import Graph
@@ -34,6 +36,8 @@ def adjacency_matrix(graph: Graph, sparse: bool = True):
 
     Loops contribute 2 to the diagonal so row sums equal degrees.
     """
+    import scipy.sparse as sp
+
     n = graph.n
     rows, cols, vals = [], [], []
     for u, v in graph.edges():
@@ -65,6 +69,8 @@ def transition_matrix(graph: Graph, lazy: bool = False, sparse: bool = True):
     SpectralError
         If some vertex is isolated (the walk is undefined there).
     """
+    import scipy.sparse as sp
+
     degrees = degree_vector(graph)
     if np.any(degrees == 0):
         raise SpectralError("transition matrix undefined: isolated vertex present")
@@ -85,6 +91,8 @@ def normalized_adjacency(graph: Graph, sparse: bool = True):
     ``N`` is similar to ``P`` (same spectrum) but symmetric, so Lanczos
     iterations and dense symmetric eigensolvers apply.
     """
+    import scipy.sparse as sp
+
     degrees = degree_vector(graph)
     if np.any(degrees == 0):
         raise SpectralError("normalized adjacency undefined: isolated vertex present")
@@ -98,6 +106,8 @@ def normalized_adjacency(graph: Graph, sparse: bool = True):
 
 def laplacian_matrix(graph: Graph, sparse: bool = True):
     """Combinatorial Laplacian ``L = D − A`` (loops cancel out of L)."""
+    import scipy.sparse as sp
+
     degrees = sp.diags(degree_vector(graph))
     lap = (degrees - adjacency_matrix(graph, sparse=True)).tocsr()
     if sparse:

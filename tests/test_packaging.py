@@ -41,6 +41,13 @@ class TestPyproject:
         deps = pyproject["project"]["dependencies"]
         assert any(d.split()[0].startswith("numpy") for d in deps)
 
+    def test_scipy_and_networkx_dependencies_declared(self, pyproject):
+        # The spectral and NetworkX-bridge modules import them on first
+        # call; an install without them would break those public functions.
+        deps = pyproject["project"]["dependencies"]
+        for name in ("scipy", "networkx"):
+            assert any(d.split()[0].startswith(name) for d in deps), name
+
     def test_build_backend_reads_project_table(self, pyproject):
         # setuptools >= 61 is the first version that reads [project].
         assert pyproject["build-system"]["build-backend"] == "setuptools.build_meta"
