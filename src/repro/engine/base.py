@@ -310,21 +310,6 @@ class VisitedSet:
         self.count += added
         self._checked_out = False
 
-    def to_bytearray(self, lo: int = 0, hi: Optional[int] = None) -> bytearray:
-        """Bits ``[lo, hi)`` expanded to one byte each (0/1).
-
-        Hand-off adapter: the materialized walks' ``visited_vertices`` is
-        a byte-per-vertex ``bytearray``.
-        """
-        import numpy as np
-
-        if hi is None:
-            hi = self.nbits
-        idx = np.arange(lo, hi, dtype=np.int64)
-        shifts = (idx & 63).astype(np.uint64)
-        bits = (self.words[idx >> 6] >> shifts) & np.uint64(1)
-        return bytearray(bits.astype(np.uint8).tobytes())
-
     def __len__(self) -> int:
         return self.nbits
 

@@ -87,8 +87,8 @@ class TestFleetEdgeProcessParity:
 
     def test_regular_lanes_never_build_incidence(self):
         # The eprocess-regular shape: a fresh connected random 4-regular
-        # graph per lane, stepped through lockstep blocks and the tail
-        # hand-off.  Sampling (its connectivity check included) and the
+        # graph per lane, stepped through lockstep blocks to every lane's
+        # cover.  Sampling (its connectivity check included) and the
         # fleet read the CSR arrays only, so no lane graph may build its
         # per-vertex incidence tuples.
         K = 9
@@ -101,7 +101,7 @@ class TestFleetEdgeProcessParity:
         with session(tel):
             fleet = FleetEdgeProcess(graphs, starts, rngs)
             cover = fleet.run_until_cover("edges")
-        assert tel.counters["fleet.tail_handoffs"] >= 1
+        assert tel.counters["fleet.lane_steps"] == sum(cover)
         assert all(g._incidence is None for g in graphs)
         for k in range(K):
             walk = EdgeProcess(graphs[k], starts[k], rng=twins[k], record_phases=True)

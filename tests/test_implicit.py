@@ -231,7 +231,7 @@ class TestBitIdentity:
 
 
 class TestFleet:
-    K = 9  # above the regular kernel's hand-off threshold
+    K = 9  # enough lanes that blocks retire some mid-run
 
     @pytest.mark.parametrize("target", ["vertices", "edges"])
     def test_fleet_matches_reference_lanes(self, family, target):

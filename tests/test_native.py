@@ -120,8 +120,13 @@ class TestNativeVsNumpyParity:
         starts, n_rngs, p_rngs = _lanes(graph, K, 1000)
         twins = [random.Random(1000 + k) for k in range(K)]
 
-        nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
-        cover_nat = nat.run_until_cover(target=target)
+        tel = Telemetry()
+        with session(tel):
+            nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
+            cover_nat = nat.run_until_cover(target=target)
+        # Every lane, at any K, steps through the C kernel to its cover.
+        assert tel.counters["fleet.native_fleets"] == 1
+        assert tel.counters["fleet.lane_steps"] == sum(cover_nat)
         num = _make_fleet(walk, [graph] * K, starts, p_rngs, False)
         cover_num = num.run_until_cover(target=target)
 
@@ -173,7 +178,7 @@ class TestNativeVsNumpyParity:
     @pytest.mark.parametrize("walk", sorted(FLEETS))
     def test_timeout_syncs_rng_like_numpy(self, walk):
         graph = _graph("irregular")
-        K = 8  # above the tail hand-off, so the lockstep kernel times out
+        K = 8  # several live lanes time out inside the lockstep kernel
         starts, n_rngs, p_rngs = _lanes(graph, K, 3000)
         budget = 37
         nat = _make_fleet(walk, [graph] * K, starts, n_rngs, True)
